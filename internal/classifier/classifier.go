@@ -10,7 +10,8 @@ package classifier
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"joinopt/internal/corpus"
 	"joinopt/internal/index"
@@ -64,23 +65,18 @@ func Measure(c Classifier, db *corpus.DB, task string) (ctp, cfp float64, err er
 	return ctp, cfp, nil
 }
 
-// labelledDocs extracts (tokenized document, isGood) pairs for training.
-func labelledDocs(db *corpus.DB, task string) ([]map[string]bool, []bool, error) {
+// trainingSplit returns the document texts of a training database and
+// whether each document is good for task.
+func trainingSplit(db *corpus.DB, task string) ([]string, []bool, error) {
 	stats := db.Stats(task)
 	if stats == nil {
 		return nil, nil, fmt.Errorf("classifier: training database %s does not host task %s", db.Name, task)
 	}
-	feats := make([]map[string]bool, len(db.Docs))
 	labels := make([]bool, len(db.Docs))
-	for i, doc := range db.Docs {
-		set := map[string]bool{}
-		for _, tok := range index.Tokenize(doc.Text) {
-			set[tok] = true
-		}
-		feats[i] = set
+	for i := range labels {
 		labels[i] = stats.Class[i] == corpus.Good
 	}
-	return feats, labels, nil
+	return db.Texts(), labels, nil
 }
 
 // Bayes is a naive-Bayes document classifier over binary term features.
@@ -100,24 +96,16 @@ type Bayes struct {
 // the decision boundary (0 = maximum a posteriori); positive values trade
 // Ctp for lower Cfp.
 func TrainBayes(db *corpus.DB, task string, threshold float64) (*Bayes, error) {
-	feats, labels, err := labelledDocs(db, task)
+	texts, labels, err := trainingSplit(db, task)
 	if err != nil {
 		return nil, err
 	}
 	var nGood, nRest int
-	countGood := map[string]int{}
-	countRest := map[string]int{}
-	for i, set := range feats {
-		if labels[i] {
+	for _, l := range labels {
+		if l {
 			nGood++
-			for t := range set {
-				countGood[t]++
-			}
 		} else {
 			nRest++
-			for t := range set {
-				countRest[t]++
-			}
 		}
 	}
 	if nGood == 0 || nRest == 0 {
@@ -129,28 +117,23 @@ func TrainBayes(db *corpus.DB, task string, threshold float64) (*Bayes, error) {
 		terms:        map[string][2]float64{},
 		threshold:    threshold,
 	}
-	seen := map[string]bool{}
-	for t := range countGood {
-		seen[t] = true
-	}
-	for t := range countRest {
-		seen[t] = true
-	}
-	vocab := make([]string, 0, len(seen))
-	for t := range seen {
-		vocab = append(vocab, t)
-	}
-	sort.Strings(vocab) // deterministic float accumulation order
-	for _, t := range vocab {
-		pg := (float64(countGood[t]) + 1) / (float64(nGood) + 2)
-		pr := (float64(countRest[t]) + 1) / (float64(nRest) + 2)
+	// The vocabulary comes sorted, which fixes the float accumulation order.
+	vocab, postings := index.New(texts, 0).Vocabulary()
+	for ti, t := range vocab {
+		var countGood, countRest int
+		for _, i := range postings[ti] {
+			if labels[i] {
+				countGood++
+			} else {
+				countRest++
+			}
+		}
+		pg := (float64(countGood) + 1) / (float64(nGood) + 2)
+		pr := (float64(countRest) + 1) / (float64(nRest) + 2)
 		b.terms[t] = [2]float64{math.Log(pg) - math.Log(1-pg), math.Log(pr) - math.Log(1-pr)}
-	}
-	// Base score assuming every term absent; per-present-term adjustments
-	// are stored relative to absence, so classification is O(|doc|).
-	for _, t := range vocab {
-		pg := (float64(countGood[t]) + 1) / (float64(nGood) + 2)
-		pr := (float64(countRest[t]) + 1) / (float64(nRest) + 2)
+		// Base score assuming every term absent; per-present-term
+		// adjustments are stored relative to absence, so classification is
+		// O(|doc|).
 		b.absentGood += math.Log(1 - pg)
 		b.absentRest += math.Log(1 - pr)
 	}
@@ -193,32 +176,35 @@ type Rules struct {
 // task on db. Each rule greedily maximizes covered positives while keeping
 // precision at least minPrecision on the remaining training documents.
 func TrainRules(db *corpus.DB, task string, maxRules, maxTerms int, minPrecision float64) (*Rules, error) {
-	feats, labels, err := labelledDocs(db, task)
+	texts, labels, err := trainingSplit(db, task)
 	if err != nil {
 		return nil, err
 	}
 	if maxRules <= 0 || maxTerms <= 0 {
 		return nil, fmt.Errorf("classifier: invalid rule shape %dx%d", maxRules, maxTerms)
 	}
-	remaining := map[int]bool{} // uncovered positive docs
-	for i, l := range labels {
-		if l {
-			remaining[i] = true
+	remaining := slices.Clone(labels) // uncovered positive docs
+	left := 0
+	for _, r := range remaining {
+		if r {
+			left++
 		}
 	}
-	if len(remaining) == 0 {
+	if left == 0 {
 		return nil, fmt.Errorf("classifier: no positive training documents")
 	}
+	vocab, postings := index.New(texts, 0).Vocabulary()
 	out := &Rules{}
-	for len(out.Set) < maxRules && len(remaining) > 0 {
-		rule, covered := growRule(feats, labels, remaining, maxTerms, minPrecision)
+	for len(out.Set) < maxRules && left > 0 {
+		rule, covered := growRule(vocab, postings, labels, remaining, maxTerms, minPrecision)
 		if rule == nil {
 			break
 		}
 		out.Set = append(out.Set, *rule)
 		for _, i := range covered {
-			delete(remaining, i)
+			remaining[i] = false
 		}
+		left -= len(covered)
 	}
 	if len(out.Set) == 0 {
 		return nil, fmt.Errorf("classifier: rule induction found no rule meeting precision %.2f", minPrecision)
@@ -227,37 +213,27 @@ func TrainRules(db *corpus.DB, task string, maxRules, maxTerms int, minPrecision
 }
 
 // growRule greedily builds one conjunctive rule maximizing coverage of
-// remaining positives subject to the precision floor.
-func growRule(feats []map[string]bool, labels []bool, remaining map[int]bool, maxTerms int, minPrecision float64) (*Rule, []int) {
-	// Candidate terms: those appearing in remaining positives.
-	candSet := map[string]bool{}
-	for i := range remaining {
-		for t := range feats[i] {
-			candSet[t] = true
-		}
-	}
-	cands := make([]string, 0, len(candSet))
-	for t := range candSet {
-		cands = append(cands, t)
-	}
-	sort.Strings(cands)
-
+// remaining positives subject to the precision floor. A candidate term is
+// scored by walking its posting list against the set of documents the rule
+// matches so far. Candidates are tried in vocabulary order and only a
+// strictly better score replaces the best, so ties go to the smaller term;
+// terms absent from every remaining positive never score.
+func growRule(vocab []string, postings [][]int, labels, remaining []bool, maxTerms int, minPrecision float64) (*Rule, []int) {
 	var rule Rule
-	matches := make([]int, 0, len(feats)) // docs matching the rule so far
-	for i := range feats {
-		matches = append(matches, i)
+	inRule := make([]bool, len(labels)) // docs matching the rule so far
+	for i := range inRule {
+		inRule[i] = true
 	}
+	var matches []int
 	for len(rule.Terms) < maxTerms {
-		bestTerm, bestScore := "", -1.0
-		var bestMatches []int
-		for _, t := range cands {
-			var m []int
-			var pos, rem int
-			for _, i := range matches {
-				if !feats[i][t] {
+		best, bestScore := -1, -1.0
+		for ti, post := range postings {
+			var n, pos, rem int
+			for _, i := range post {
+				if !inRule[i] {
 					continue
 				}
-				m = append(m, i)
+				n++
 				if labels[i] {
 					pos++
 				}
@@ -265,27 +241,34 @@ func growRule(feats []map[string]bool, labels []bool, remaining map[int]bool, ma
 					rem++
 				}
 			}
-			if len(m) == 0 || rem == 0 {
+			if rem == 0 {
 				continue
 			}
-			prec := float64(pos) / float64(len(m))
+			prec := float64(pos) / float64(n)
 			score := prec * float64(rem)
 			if score > bestScore {
-				bestTerm, bestScore, bestMatches = t, score, m
+				best, bestScore = ti, score
 			}
 		}
-		if bestTerm == "" {
+		if best < 0 {
 			break
 		}
-		rule.Terms = append(rule.Terms, bestTerm)
-		matches = bestMatches
-		// Stop early once the precision floor is met.
+		rule.Terms = append(rule.Terms, vocab[best])
+		matches = matches[:0]
+		for _, i := range postings[best] {
+			if inRule[i] {
+				matches = append(matches, i)
+			}
+		}
+		clear(inRule)
 		pos := 0
 		for _, i := range matches {
+			inRule[i] = true
 			if labels[i] {
 				pos++
 			}
 		}
+		// Stop early once the precision floor is met.
 		if float64(pos)/float64(len(matches)) >= minPrecision {
 			break
 		}
@@ -308,23 +291,31 @@ func growRule(feats []map[string]bool, labels []bool, remaining map[int]bool, ma
 	return &rule, covered
 }
 
-// Classify implements Classifier.
+// tokenBufs pools Rules.Classify's token buffers: Filtered Scan classifies
+// every retrieved document, from many goroutines at once.
+var tokenBufs = sync.Pool{New: func() any { return new([]string) }}
+
+// Classify implements Classifier. A rule has a handful of terms, so each is
+// looked up by a linear scan of the document's tokens instead of building a
+// per-call term set.
 func (r *Rules) Classify(text string) bool {
-	set := map[string]bool{}
-	for _, tok := range index.Tokenize(text) {
-		set[tok] = true
-	}
+	buf := tokenBufs.Get().(*[]string)
+	defer tokenBufs.Put(buf)
+	*buf = index.TokenizeInto(text, (*buf)[:0], nil)
 	for _, rule := range r.Set {
-		fires := true
-		for _, t := range rule.Terms {
-			if !set[t] {
-				fires = false
-				break
-			}
-		}
-		if fires {
+		if rule.firesOn(*buf) {
 			return true
 		}
 	}
 	return false
+}
+
+// firesOn reports whether toks contains every term of the rule.
+func (rule Rule) firesOn(toks []string) bool {
+	for _, t := range rule.Terms {
+		if !slices.Contains(toks, t) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package classifier
 
 import (
+	"sync"
 	"testing"
 
 	"joinopt/internal/corpus"
@@ -9,7 +10,7 @@ import (
 	"joinopt/internal/textgen"
 )
 
-func trainDB(t *testing.T, seed int64) *corpus.DB {
+func trainDB(t testing.TB, seed int64) *corpus.DB {
 	t.Helper()
 	g := textgen.NewGazetteer(300, 240, 120)
 	g.Companies = textgen.Shuffled(stat.NewRNG(99), g.Companies)
@@ -150,5 +151,60 @@ func TestRuleFiringSemantics(t *testing.T) {
 	}
 	if r.Classify("the firm is headquartered downtown") {
 		t.Error("rule with a missing conjunct must not fire")
+	}
+}
+
+// TestClassifyConcurrent runs Rules.Classify, whose token buffers come from
+// a shared pool, from several goroutines at once; every decision must match
+// the map-based reference.
+func TestClassifyConcurrent(t *testing.T) {
+	r, err := TrainRules(trainDB(t, 10), "HQ", 8, 2, 0.55)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := trainDB(t, 11).Docs
+	want := make([]bool, len(docs))
+	for i, d := range docs {
+		want[i] = RefClassify(r, d.Text)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, d := range docs {
+				if got := r.Classify(d.Text); got != want[i] {
+					t.Errorf("doc %d: Classify = %v, reference %v", i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkRulesClassify classifies a 700-document split with learned rules,
+// through the pooled token buffer and through the map-based reference.
+func BenchmarkRulesClassify(b *testing.B) {
+	r, err := TrainRules(trainDB(b, 12), "HQ", 8, 2, 0.55)
+	if err != nil {
+		b.Fatal(err)
+	}
+	docs := trainDB(b, 13).Docs
+	for _, c := range []struct {
+		name     string
+		classify func(string) bool
+	}{
+		{"pooled", r.Classify},
+		{"map-reference", func(text string) bool { return RefClassify(r, text) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, d := range docs {
+					c.classify(d.Text)
+				}
+			}
+		})
 	}
 }

@@ -76,6 +76,16 @@ func (db *DB) Size() int { return len(db.Docs) }
 // Doc returns the document with the given ID (IDs are dense, 0-based).
 func (db *DB) Doc(id int) *Document { return db.Docs[id] }
 
+// Texts returns the raw document texts in ID order, the input of an index
+// build.
+func (db *DB) Texts() []string {
+	out := make([]string, len(db.Docs))
+	for i, d := range db.Docs {
+		out[i] = d.Text
+	}
+	return out
+}
+
 // Gold returns the gold set for a task hosted by this database, or nil when
 // the task is unknown.
 func (db *DB) Gold(task string) *relation.Gold { return db.golds[task] }

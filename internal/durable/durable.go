@@ -37,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"joinopt/internal/faults"
 	"joinopt/internal/obs"
@@ -71,6 +72,12 @@ type Store struct {
 	degraded bool
 	reason   string
 	failures int // consecutive write/sync failures
+
+	// tmpSeq names writeFileAtomic's temp files. Two Tasks of one workload
+	// — a job still running on a Task the service registry evicted, and its
+	// rebuild — share a cache namespace and may write one entry at once;
+	// distinct temp files keep each write whole.
+	tmpSeq atomic.Uint64
 }
 
 // Open initialises the state directory, replays the journal, and returns
@@ -197,7 +204,7 @@ func (s *Store) writeFileAtomic(path string, data []byte, sync bool) error {
 	if err := s.opts.Faults.Write(); err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
+	tmp := fmt.Sprintf("%s.tmp%d", path, s.tmpSeq.Add(1))
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err

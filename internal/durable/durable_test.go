@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"joinopt/internal/faults"
@@ -326,5 +327,40 @@ func TestNilStoreIsInert(t *testing.T) {
 	s.Freeze()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCacheTierConcurrentWritersOfOneEntry covers two Tasks of one workload
+// writing the same cache entry at once (a job on an evicted registry Task
+// and the Task's rebuild): every write lands whole, none is counted as a
+// disk failure, and the entry reads back.
+func TestCacheTierConcurrentWritersOfOneEntry(t *testing.T) {
+	dir := t.TempDir()
+	m := obs.NewRegistry()
+	s, _ := openT(t, dir, Options{Metrics: m})
+	k := pipeline.Key{Side: 1, DocID: 3, Theta: 0.5}
+	want := []relation.Tuple{{A1: "acme", A2: "pine bluff"}}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		tier := s.CacheTier("w")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				tier.Store(k, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := m.Snapshot().Counters[obs.Series(obs.MetricDurableErrs, "op", "cache")]; n != 0 {
+		t.Errorf("concurrent writes counted %d cache errors", n)
+	}
+	got, ok := s.CacheTier("w").Load(k)
+	if !ok || len(got) != 1 || got[0] != want[0] {
+		t.Errorf("Load after concurrent writes = %v, %v", got, ok)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "cache", "w", "*"))
+	if len(files) != 1 {
+		t.Errorf("cache dir holds %v, want the one entry", files)
 	}
 }

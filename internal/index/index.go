@@ -113,17 +113,37 @@ type Index struct {
 // results per query. topK <= 0 means unlimited.
 func New(texts []string, topK int) *Index {
 	ix := &Index{postings: map[string][]int{}, numDocs: len(texts), topK: topK}
+	var toks []string
 	for id, text := range texts {
-		seen := map[string]bool{}
-		for _, tok := range Tokenize(text) {
-			if seen[tok] {
+		toks = TokenizeInto(text, toks[:0], nil)
+		for _, tok := range toks {
+			// IDs are appended in ascending order, so a term already
+			// posted for this document ends its list with id.
+			l := ix.postings[tok]
+			if n := len(l); n > 0 && l[n-1] == id {
 				continue
 			}
-			seen[tok] = true
-			ix.postings[tok] = append(ix.postings[tok], id)
+			ix.postings[tok] = append(l, id)
 		}
 	}
 	return ix
+}
+
+// Vocabulary returns every indexed term in ascending order with its posting
+// list (ascending document IDs) at the same position. The posting lists
+// alias the index and must not be modified. Classifier training and query
+// learning score terms by walking these lists.
+func (ix *Index) Vocabulary() (terms []string, postings [][]int) {
+	terms = make([]string, 0, len(ix.postings))
+	for t := range ix.postings {
+		terms = append(terms, t)
+	}
+	slices.Sort(terms)
+	postings = make([][]int, len(terms))
+	for i, t := range terms {
+		postings[i] = ix.postings[t]
+	}
+	return terms, postings
 }
 
 // TopK returns the configured result cap (0 = unlimited).

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -201,5 +202,45 @@ func TestQueryString(t *testing.T) {
 	q := QueryFromValue("Acme Dynamics")
 	if q.String() != "[acme dynamics]" {
 		t.Errorf("got %q", q.String())
+	}
+}
+
+// TestNewPostingsMatchSetDedupe pins index construction to the per-document
+// seen-set build it replaced: postings are identical, including for repeated
+// and case-variant tokens.
+func TestNewPostingsMatchSetDedupe(t *testing.T) {
+	texts := []string{
+		"Acme acme ACME dynamics",
+		"",
+		"dynamics, Dynamics; report 7 report 7 7",
+		"Ünïcode ünïcode straße STRASSE",
+		"acme",
+	}
+	for i := 0; i < 200; i++ {
+		texts = append(texts, fmt.Sprintf("acme report %d sector %d report %d Acme", i%13, i%7, i%13))
+	}
+	want := map[string][]int{}
+	for id, text := range texts {
+		seen := map[string]bool{}
+		for _, tok := range Tokenize(text) {
+			if !seen[tok] {
+				seen[tok] = true
+				want[tok] = append(want[tok], id)
+			}
+		}
+	}
+	if got := New(texts, 0).postings; !reflect.DeepEqual(got, want) {
+		t.Errorf("postings differ from the seen-set build:\n got %v\nwant %v", got, want)
+	}
+}
+
+func TestVocabularySortedWithPostings(t *testing.T) {
+	ix := New([]string{"beta alpha", "gamma alpha", "beta"}, 0)
+	terms, postings := ix.Vocabulary()
+	if want := []string{"alpha", "beta", "gamma"}; !reflect.DeepEqual(terms, want) {
+		t.Fatalf("terms = %v, want %v", terms, want)
+	}
+	if want := [][]int{{0, 1}, {0, 2}, {1}}; !reflect.DeepEqual(postings, want) {
+		t.Errorf("postings = %v, want %v", postings, want)
 	}
 }

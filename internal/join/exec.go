@@ -409,17 +409,8 @@ func (st *State) announce(i int, s *Side, docID int) bool {
 	return st.Pipeline.Announce(pipeline.Key{Side: i, DocID: docID, Theta: s.Theta})
 }
 
-// texts extracts the raw document texts of a database, for index building.
-func texts(db *corpus.DB) []string {
-	out := make([]string, db.Size())
-	for i, d := range db.Docs {
-		out[i] = d.Text
-	}
-	return out
-}
-
 // BuildIndex constructs the search interface of a database with the given
 // top-k cap.
 func BuildIndex(db *corpus.DB, topK int) *index.Index {
-	return index.New(texts(db), topK)
+	return index.New(db.Texts(), topK)
 }

@@ -40,39 +40,40 @@ func Learn(train *corpus.DB, task string, maxQueries int) ([]Query, error) {
 	if maxQueries <= 0 {
 		return nil, fmt.Errorf("qxtract: maxQueries must be positive")
 	}
+	good := make([]bool, len(train.Docs))
 	var nGood, nRest int
-	countGood := map[string]int{}
-	countRest := map[string]int{}
-	docTerms := make([]map[string]bool, len(train.Docs))
-	for i, doc := range train.Docs {
-		set := map[string]bool{}
-		for _, tok := range index.Tokenize(doc.Text) {
-			set[tok] = true
-		}
-		docTerms[i] = set
-		if stats.Class[i] == corpus.Good {
+	for i := range good {
+		good[i] = stats.Class[i] == corpus.Good
+		if good[i] {
 			nGood++
-			for t := range set {
-				countGood[t]++
-			}
 		} else {
 			nRest++
-			for t := range set {
-				countRest[t]++
-			}
 		}
 	}
 	if nGood == 0 {
 		return nil, fmt.Errorf("qxtract: no good documents in training database")
 	}
+	ix := index.New(train.Texts(), 0)
 	type scored struct {
 		term  string
 		score float64
 	}
 	var ranked []scored
-	for t, gc := range countGood {
+	vocab, postings := ix.Vocabulary()
+	for ti, t := range vocab {
+		var gc, rc int
+		for _, i := range postings[ti] {
+			if good[i] {
+				gc++
+			} else {
+				rc++
+			}
+		}
+		if gc == 0 {
+			continue
+		}
 		pg := (float64(gc) + 1) / (float64(nGood) + 2)
-		pr := (float64(countRest[t]) + 1) / (float64(nRest) + 2)
+		pr := (float64(rc) + 1) / (float64(nRest) + 2)
 		ranked = append(ranked, scored{term: t, score: math.Log(pg / pr)})
 	}
 	sort.Slice(ranked, func(i, j int) bool {
@@ -88,28 +89,18 @@ func Learn(train *corpus.DB, task string, maxQueries int) ([]Query, error) {
 	top := ranked[:nTop]
 
 	evaluate := func(terms []string) Query {
-		matches, good := 0, 0
-		for i, set := range docTerms {
-			ok := true
-			for _, t := range terms {
-				if !set[t] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			matches++
-			if stats.Class[i] == corpus.Good {
-				good++
+		matches := ix.Matches(index.Query{Terms: terms})
+		g := 0
+		for _, i := range matches {
+			if good[i] {
+				g++
 			}
 		}
 		prec := 0.0
-		if matches > 0 {
-			prec = float64(good) / float64(matches)
+		if len(matches) > 0 {
+			prec = float64(g) / float64(len(matches))
 		}
-		return Query{Terms: terms, TrainPrec: prec, TrainMatches: matches}
+		return Query{Terms: terms, TrainPrec: prec, TrainMatches: len(matches)}
 	}
 
 	var out []Query

@@ -9,12 +9,23 @@ import (
 	"joinopt/internal/pipeline"
 )
 
+// maxResident bounds the workload Tasks a registry keeps. A resident
+// 2000-document workload holds about 6.8 MB of corpora, indexes, trained
+// machinery and cache, so a daemon that keeps meeting new workloads would
+// otherwise grow without bound.
+const maxResident = 16
+
 // Registry constructs Tasks once per workload spec and shares them across
 // every request: the expensive generation and training work, the memoized
 // optimizer inputs, and the shared extraction cache are all amortized over
 // the jobs that name the same workload. Task construction runs outside the
 // registry lock (per-entry once), so a slow build never blocks lookups of
 // other workloads.
+//
+// At most maxResident entries stay resident; a new workload evicts the
+// least recently used one. Eviction only drops the registry's reference: a
+// running job keeps the Task it resolved, and a workload named again is
+// rebuilt deterministically (re-attaching its disk tier through tierFor).
 type Registry struct {
 	defaultCacheBytes int64
 
@@ -25,10 +36,12 @@ type Registry struct {
 
 	mu      sync.Mutex
 	entries map[regKey]*regEntry
+	clock   uint64 // counts lookups; orders entries by recency
 
-	builds   *obs.Counter
-	reuses   *obs.Counter
-	resident *obs.Gauge
+	builds    *obs.Counter
+	reuses    *obs.Counter
+	evictions *obs.Counter
+	resident  *obs.Gauge
 }
 
 // regKey identifies one shareable task: the normalized binary workload
@@ -45,13 +58,15 @@ type regEntry struct {
 	once sync.Once
 	task *joinopt.Task
 	err  error
+	used uint64 // clock at the last lookup, guarded by Registry.mu
 }
 
 // Registry metric families.
 const (
-	MetricWorkloadBuilds   = "joinoptd_workload_builds_total"
-	MetricWorkloadReuses   = "joinoptd_workload_reuses_total"
-	MetricWorkloadResident = "joinoptd_workloads_resident"
+	MetricWorkloadBuilds    = "joinoptd_workload_builds_total"
+	MetricWorkloadReuses    = "joinoptd_workload_reuses_total"
+	MetricWorkloadResident  = "joinoptd_workloads_resident"
+	MetricWorkloadEvictions = "joinoptd_workload_evictions_total"
 )
 
 // NewRegistry builds a workload registry. defaultCacheBytes sizes the
@@ -61,11 +76,13 @@ func NewRegistry(defaultCacheBytes int64, m *obs.Registry) *Registry {
 	m.Describe(MetricWorkloadBuilds, "workload tasks constructed by the registry")
 	m.Describe(MetricWorkloadReuses, "jobs served by an already-constructed workload task")
 	m.Describe(MetricWorkloadResident, "distinct workload tasks resident in the registry")
+	m.Describe(MetricWorkloadEvictions, "least recently used workload tasks dropped to keep the registry bounded")
 	return &Registry{
 		defaultCacheBytes: defaultCacheBytes,
 		entries:           map[regKey]*regEntry{},
 		builds:            m.Counter(MetricWorkloadBuilds),
 		reuses:            m.Counter(MetricWorkloadReuses),
+		evictions:         m.Counter(MetricWorkloadEvictions),
 		resident:          m.Gauge(MetricWorkloadResident),
 	}
 }
@@ -94,10 +111,15 @@ func (r *Registry) normalize(spec WorkloadSpec, q *QuerySpec) WorkloadSpec {
 func (r *Registry) Task(spec WorkloadSpec, q *QuerySpec) (*joinopt.Task, error) {
 	key := regKey{wl: r.normalize(spec, q), query: q.key()}
 	r.mu.Lock()
+	r.clock++
 	e, ok := r.entries[key]
 	if !ok {
 		e = &regEntry{}
 		r.entries[key] = e
+	}
+	e.used = r.clock
+	if !ok {
+		r.evictLocked()
 		r.resident.Set(float64(len(r.entries)))
 	}
 	r.mu.Unlock()
@@ -140,6 +162,22 @@ func (r *Registry) Task(spec WorkloadSpec, q *QuerySpec) (*joinopt.Task, error) 
 		r.reuses.Inc()
 	}
 	return e.task, e.err
+}
+
+// evictLocked drops least recently used entries until at most maxResident
+// remain. The entry just looked up holds the newest clock, so it stays.
+func (r *Registry) evictLocked() {
+	for len(r.entries) > maxResident {
+		var victim regKey
+		oldest := r.clock
+		for k, e := range r.entries {
+			if e.used < oldest {
+				victim, oldest = k, e.used
+			}
+		}
+		delete(r.entries, victim)
+		r.evictions.Inc()
+	}
 }
 
 // Size returns the number of resident workload entries.

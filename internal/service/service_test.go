@@ -9,8 +9,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -502,6 +504,73 @@ func TestRegistrySharesWorkloads(t *testing.T) {
 
 // TestSubmitValidation pins the 400 surface, including the fault-profile
 // errors naming the offending key.
+// holdFirst is a Tracer that blocks the first event it sees until released;
+// later events, from other jobs, pass straight through.
+type holdFirst struct {
+	entered chan struct{}
+	release chan struct{}
+	held    atomic.Bool
+}
+
+func (g *holdFirst) Emit(obs.Event) {
+	if g.held.CompareAndSwap(false, true) {
+		close(g.entered)
+		<-g.release
+	}
+}
+
+// TestEvictedWorkloadJobCompletes holds one job mid-run while concurrent
+// jobs over distinct workloads push its workload out of the registry. The
+// held job still finishes on the Task it resolved; the workload, named
+// again, is rebuilt and yields a bit-identical result and event stream.
+func TestEvictedWorkloadJobCompletes(t *testing.T) {
+	g := &holdFirst{entered: make(chan struct{}), release: make(chan struct{})}
+	e := newEnv(t, service.Options{Workers: 3, TraceSink: g})
+	req := func(seed int64) service.JobRequest {
+		return service.JobRequest{
+			Workload: service.WorkloadSpec{NumDocs: 400, Seed: seed},
+			TauG:     testTauG, TauB: testTauB, Workers: 1,
+		}
+	}
+	counter := func(name string) int64 { return e.svc.Metrics().Snapshot().Counters[name] }
+
+	held, _ := e.submit(t, req(100), http.StatusAccepted)
+	<-g.entered
+	for seed := int64(101); counter(service.MetricWorkloadEvictions) == 0; seed += 2 {
+		if seed > 160 {
+			t.Fatal("no eviction after 60 distinct workloads")
+		}
+		a, _ := e.submit(t, req(seed), http.StatusAccepted)
+		b, _ := e.submit(t, req(seed+1), http.StatusAccepted)
+		e.await(t, a.ID) // some seeds fail to generate; they still take a registry entry
+		e.await(t, b.ID)
+	}
+	if n := e.svc.WorkloadRegistry().Size(); n > 16 {
+		t.Errorf("registry holds %d workloads, want at most 16", n)
+	}
+
+	close(g.release)
+	if fin := e.await(t, held.ID); fin.State != service.StateDone {
+		t.Fatalf("held job on an evicted workload finished %s (%s)", fin.State, fin.Error)
+	}
+	builds := counter(service.MetricWorkloadBuilds)
+	again, _ := e.submit(t, req(100), http.StatusAccepted)
+	if fin := e.await(t, again.ID); fin.State != service.StateDone {
+		t.Fatalf("re-run finished %s (%s)", fin.State, fin.Error)
+	}
+	if n := counter(service.MetricWorkloadBuilds); n != builds+1 {
+		t.Errorf("builds after re-naming the evicted workload: %d, want %d", n, builds+1)
+	}
+	_, _, want := e.result(t, held.ID)
+	_, _, got := e.result(t, again.ID)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rebuilt workload's result differs:\n got %+v\nwant %+v", got, want)
+	}
+	if !bytes.Equal(e.events(t, again.ID), e.events(t, held.ID)) {
+		t.Error("rebuilt workload's event stream differs from the evicted one's")
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	e := newEnv(t, service.Options{})
 	cases := []struct {
