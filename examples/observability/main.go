@@ -2,8 +2,7 @@
 // what the executors, the fault injectors, and the adaptive optimizer did.
 // The trace captures structured events (plan decisions, per-step progress,
 // retries, injected faults, checkpoints) stamped with cost-model time; the
-// metrics registry keeps live counters and publishes the final Result as
-// joinopt_run_* gauges in Prometheus text format.
+// metrics registry keeps live counters and gauges in Prometheus text format.
 //
 //	go run ./examples/observability
 package main
@@ -52,8 +51,8 @@ func main() {
 		fmt.Printf("  t=%8.1f  %-16s side=%d %v\n", ev.T, ev.Kind, ev.Side, ev.Attrs)
 	}
 
-	// The registry snapshot: live joinopt_*_total counters mirror execution;
-	// joinopt_run_* gauges match the final Result exactly.
+	// The registry snapshot: live joinopt_*_total counters mirror execution,
+	// the adaptive pilot included; the run's outcome is res above.
 	fmt.Println("\nmetrics (Prometheus text format):")
 	if err := metrics.WritePrometheus(os.Stdout); err != nil {
 		log.Fatal(err)

@@ -9,16 +9,19 @@ import (
 	"joinopt/internal/retrieval"
 )
 
-// Tree-shaped n-ary execution: NaryExec generalizes MultiIDJN to run the
-// join tree an optimizer chose (optimizer.ChooseNary) — per-side retrieval
-// strategies and effort caps, with exact merge-cost accounting at every
-// internal node of the tree. At TJ = 0 with no caps and no pipeline engine
-// the execution is bit-identical to MultiIDJN: the tree only adds
+// N-ary join execution — the paper's stated future work (§III-C restricts
+// the analysis to binary joins). NaryExec generalizes the Independent Join
+// to n relations joined on the shared attribute and runs the join tree an
+// optimizer chose (optimizer.ChooseNary): each side extracts independently
+// under its own retrieval strategy and effort cap, the output composition
+// generalizes Equation 1 to per-value products across all sides,
+// |Tgood⋈| = Σ_a Π_i gr_i(a), and every internal node of the tree charges
+// exact merge cost. The output is tree-independent; the tree only adds
 // intermediate-cardinality counters and their time charges.
 
 // TreeNode is a join-tree node: a leaf names a relation index, an internal
-// node joins its two children. It mirrors the optimizer's chosen tree
-// without importing it (the model layer sits between the two packages).
+// node joins its two children. The optimizer builds it and the executor
+// runs it.
 type TreeNode struct {
 	Rel         int // leaf: relation index; internal: -1
 	Left, Right *TreeNode
@@ -31,6 +34,17 @@ func LeafChain(n int) *TreeNode {
 		t = &TreeNode{Rel: -1, Left: t, Right: &TreeNode{Rel: i}}
 	}
 	return t
+}
+
+// String renders the tree shape, e.g. "((R1⋈R2)⋈(R3⋈R4))".
+func (t *TreeNode) String() string {
+	if t == nil {
+		return "<nil>"
+	}
+	if t.Left == nil {
+		return fmt.Sprintf("R%d", t.Rel+1)
+	}
+	return "(" + t.Left.String() + "⋈" + t.Right.String() + ")"
 }
 
 // set computes the relation bitmask covered by the subtree, validating
@@ -62,9 +76,11 @@ func (t *TreeNode) set(n int) (uint64, error) {
 	return l | r, nil
 }
 
-// internalSets collects the relation sets of the internal nodes in
-// post-order (root last).
-func (t *TreeNode) internalSets(n int) ([]uint64, error) {
+// InternalSets returns the relation sets of the internal nodes in
+// post-order (root last) — the sets whose intermediate cardinalities the
+// merge cost charges — after checking that the tree covers each of the n
+// relations exactly once.
+func (t *TreeNode) InternalSets(n int) ([]uint64, error) {
 	full, err := t.set(n)
 	if err != nil {
 		return nil, err
@@ -97,11 +113,22 @@ type NaryPlan struct {
 	TJ    float64
 }
 
-// NaryState is the observable progress of a tree execution: the MultiState
-// counters plus the per-internal-node materialization counts and the
-// cache-savings ledger.
+// NaryState is the observable progress of a tree execution: the n-way
+// output counters, the per-side work counters, the per-internal-node
+// materialization counts and the cache-savings ledger.
 type NaryState struct {
-	*MultiState
+	Rels []*relation.Extracted
+
+	// GoodTuples is Σ_a Π_i gr_i(a); BadTuples the complement of the total
+	// per-value occurrence product.
+	GoodTuples int
+	BadTuples  int
+
+	DocsProcessed []int
+	DocsRetrieved []int
+	DocsFiltered  []int
+	Queries       []int
+	Time          float64
 
 	// NodeSets/NodeTuples describe the internal nodes of the join tree in
 	// post-order (root last): NodeTuples[k] is the total tuple count
@@ -119,6 +146,8 @@ type NaryState struct {
 	CacheSaved []float64
 
 	Steps int
+
+	totalTuples int
 }
 
 // NaryExec runs an n-ary Independent Join along a join tree.
@@ -166,17 +195,19 @@ func NewNaryExec(sides []*Side, strats []retrieval.Strategy, plan NaryPlan) (*Na
 	if plan.Kinds != nil && len(plan.Kinds) != n {
 		return nil, fmt.Errorf("join: %d sides but %d strategy kinds", n, len(plan.Kinds))
 	}
-	nodeSets, err := plan.Tree.internalSets(n)
+	nodeSets, err := plan.Tree.InternalSets(n)
 	if err != nil {
 		return nil, err
 	}
-	mst := &MultiState{
+	st := &NaryState{
 		Rels:          make([]*relation.Extracted, n),
 		DocsProcessed: make([]int, n),
 		DocsRetrieved: make([]int, n),
 		DocsFiltered:  make([]int, n),
 		Queries:       make([]int, n),
-		golds:         make([]*relation.Gold, n),
+		NodeSets:      nodeSets,
+		NodeTuples:    make([]int, len(nodeSets)),
+		CacheSaved:    make([]float64, n),
 	}
 	for i, s := range sides {
 		if err := s.validate(i + 1); err != nil {
@@ -189,8 +220,7 @@ func NewNaryExec(sides []*Side, strats []retrieval.Strategy, plan NaryPlan) (*Na
 		if s.Gold != nil {
 			schema = s.Gold.Schema
 		}
-		mst.Rels[i] = relation.NewExtracted(schema, s.Gold)
-		mst.golds[i] = s.Gold
+		st.Rels[i] = relation.NewExtracted(schema, s.Gold)
 	}
 	return &NaryExec{
 		sides: sides,
@@ -199,12 +229,7 @@ func NewNaryExec(sides []*Side, strats []retrieval.Strategy, plan NaryPlan) (*Na
 		prev:  make([]retrieval.Counts, n),
 		ahead: make([]int, n),
 		done:  make([]bool, n),
-		st: &NaryState{
-			MultiState: mst,
-			NodeSets:   nodeSets,
-			NodeTuples: make([]int, len(nodeSets)),
-			CacheSaved: make([]float64, n),
-		},
+		st:    st,
 	}, nil
 }
 
@@ -259,7 +284,9 @@ func (e *NaryExec) announce() {
 // addTuple charges the merge cost of one extracted occurrence at every
 // internal tree node whose relation set contains side i — the tuple
 // multiplies into Π_{j∈S\{i}} (gr_j(a)+br_j(a)) intermediate tuples at node
-// S — and then folds the occurrence into the canonical n-way counters.
+// S — and then folds the occurrence into the canonical n-way counters:
+// adding one good occurrence of value a on side i raises the good product
+// by Π_{j≠i} gr_j(a) and the total product by Π_{j≠i} (gr_j(a) + br_j(a)).
 func (e *NaryExec) addTuple(i int, t relation.Tuple) {
 	a := t.A1
 	for k, set := range e.st.NodeSets {
@@ -281,7 +308,25 @@ func (e *NaryExec) addTuple(i int, t relation.Tuple) {
 			e.st.Time += charge
 		}
 	}
-	e.st.MultiState.addTuple(i, t)
+	st := e.st
+	deltaGood, deltaTotal := 1, 1
+	for j := range st.Rels {
+		if j == i {
+			continue
+		}
+		g := st.Rels[j].GoodOcc(a)
+		deltaGood *= g
+		deltaTotal *= g + st.Rels[j].BadOcc(a)
+		if deltaTotal == 0 {
+			break
+		}
+	}
+	good := st.Rels[i].Add(t)
+	st.totalTuples += deltaTotal
+	if good {
+		st.GoodTuples += deltaGood
+	}
+	st.BadTuples = st.totalTuples - st.GoodTuples
 }
 
 // Step retrieves and processes one document from every non-exhausted,
@@ -338,8 +383,7 @@ func (e *NaryExec) Step() (bool, error) {
 	return any, nil
 }
 
-// charge folds a strategy's counter growth into the state (identical to
-// MultiIDJN's accounting).
+// charge folds a strategy's counter growth into the state.
 func (e *NaryExec) charge(i int, prev, now retrieval.Counts) {
 	c := e.sides[i].Costs
 	dRetr := now.Retrieved - prev.Retrieved

@@ -512,7 +512,7 @@ func TestMultiModelHandComputed(t *testing.T) {
 			TP:       tp, FP: fp, BadInGoodFrac: 0.5,
 		}
 	}
-	m := &MultiIDJNModel{
+	m := &NaryModel{
 		P: []*RelationParams{mk(0.8, 0.4), mk(0.5, 0.2), mk(0.9, 0.1)},
 		X: []retrieval.Kind{retrieval.SC, retrieval.SC, retrieval.SC},
 		Classes: map[relation.ClassMask]int{
@@ -543,15 +543,15 @@ func TestMultiModelHandComputed(t *testing.T) {
 
 func TestMultiModelValidation(t *testing.T) {
 	p := simpleParams()
-	bad := &MultiIDJNModel{P: []*RelationParams{p}}
+	bad := &NaryModel{P: []*RelationParams{p}}
 	if bad.Validate() == nil {
 		t.Error("expected error for 1 relation")
 	}
-	bad = &MultiIDJNModel{P: []*RelationParams{p, p}, X: []retrieval.Kind{retrieval.SC}}
+	bad = &NaryModel{P: []*RelationParams{p, p}, X: []retrieval.Kind{retrieval.SC}}
 	if bad.Validate() == nil {
 		t.Error("expected error for arity mismatch")
 	}
-	ok := &MultiIDJNModel{P: []*RelationParams{p, p}, X: []retrieval.Kind{retrieval.SC, retrieval.SC}}
+	ok := &NaryModel{P: []*RelationParams{p, p}, X: []retrieval.Kind{retrieval.SC, retrieval.SC}}
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}

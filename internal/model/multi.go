@@ -7,7 +7,7 @@ import (
 	"joinopt/internal/retrieval"
 )
 
-// MultiIDJNModel extends the Independent Join quality analysis to n-way
+// NaryModel extends the Independent Join quality analysis to n-way
 // joins on the shared attribute — the paper's stated future work. The
 // composition generalizes §V-B: for every good/bad class combination c over
 // the n relations (a relation.ClassMask), the expected tuple contribution
@@ -18,14 +18,14 @@ import (
 // where E[occ_i] integrates the side's linear coverage over its good or bad
 // frequency distribution. The all-good class yields |Tgood⋈|; every other
 // class is bad output.
-type MultiIDJNModel struct {
+type NaryModel struct {
 	P       []*RelationParams
 	X       []retrieval.Kind
 	Classes map[relation.ClassMask]int
 }
 
 // Validate checks structural consistency.
-func (m *MultiIDJNModel) Validate() error {
+func (m *NaryModel) Validate() error {
 	if len(m.P) < 2 {
 		return fmt.Errorf("model: multi-way model needs at least 2 relations, got %d", len(m.P))
 	}
@@ -45,7 +45,7 @@ func (m *MultiIDJNModel) Validate() error {
 
 // Estimate predicts the n-way output composition after each side has spent
 // the given effort (documents for SC/FS, queries for AQG).
-func (m *MultiIDJNModel) Estimate(efforts []int) (Quality, error) {
+func (m *NaryModel) Estimate(efforts []int) (Quality, error) {
 	if err := m.Validate(); err != nil {
 		return Quality{}, err
 	}
@@ -93,7 +93,7 @@ func (m *MultiIDJNModel) Estimate(efforts []int) (Quality, error) {
 }
 
 // Time predicts the cost-model execution time at the given efforts.
-func (m *MultiIDJNModel) Time(efforts []int, costs []Costs) (float64, error) {
+func (m *NaryModel) Time(efforts []int, costs []Costs) (float64, error) {
 	if len(efforts) != len(m.P) || len(costs) != len(m.P) {
 		return 0, fmt.Errorf("model: efforts/costs arity mismatch")
 	}

@@ -3,10 +3,9 @@ package obs
 import "strconv"
 
 // Metric family names published by the execution and optimizer layers.
-// Per-side series carry a `side="1|2"` label; run-level series (the
-// joinopt_run_* family) are gauges set from the final Result of a facade
-// Run, so a Prometheus snapshot reports the run's outcome exactly even when
-// the live counters also include pilot and abandoned-plan work.
+// Per-side series carry a `side="1|2"` label. The series are live: they
+// follow every execution a registry sees, pilot and abandoned-plan work
+// included. A run's own outcome is its Result, not a series.
 const (
 	MetricDocsProcessed  = "joinopt_docs_processed_total"
 	MetricDocsRetrieved  = "joinopt_docs_retrieved_total"
@@ -25,23 +24,12 @@ const (
 	MetricCacheMisses    = "joinopt_extract_cache_misses_total"
 	MetricCacheEvictions = "joinopt_extract_cache_evictions_total"
 
-	MetricDecisions       = "joinopt_plan_decisions_total"
-	MetricSwitches        = "joinopt_plan_switches_total"
-	MetricCheckpoints     = "joinopt_checkpoints_total"
-	MetricCheckpointErrs  = "joinopt_checkpoint_errors_total"
-	MetricPhaseModelTime  = "joinopt_phase_model_time"
-	MetricPhaseWallSecs   = "joinopt_phase_wall_seconds"
-	MetricRunGoodTuples   = "joinopt_run_good_tuples"
-	MetricRunBadTuples    = "joinopt_run_bad_tuples"
-	MetricRunDocsProc     = "joinopt_run_docs_processed"
-	MetricRunDocsFailed   = "joinopt_run_docs_failed"
-	MetricRunRetries      = "joinopt_run_retries"
-	MetricRunQueries      = "joinopt_run_queries"
-	MetricRunTime         = "joinopt_run_time"
-	MetricRunTotalTime    = "joinopt_run_total_time"
-	MetricRunDegraded     = "joinopt_run_degraded"
-	MetricRunDeadlineHit  = "joinopt_run_deadline_hit"
-	MetricRunPlanSwitches = "joinopt_run_plan_switches"
+	MetricDecisions      = "joinopt_plan_decisions_total"
+	MetricSwitches       = "joinopt_plan_switches_total"
+	MetricCheckpoints    = "joinopt_checkpoints_total"
+	MetricCheckpointErrs = "joinopt_checkpoint_errors_total"
+	MetricPhaseModelTime = "joinopt_phase_model_time"
+	MetricPhaseWallSecs  = "joinopt_phase_wall_seconds"
 
 	// Durable-layer series: jobs recovered across a daemon restart (by how —
 	// requeued, resumed, completed-result served) and durable-store failures
@@ -291,45 +279,4 @@ func (m *OptMetrics) Phase(phase string, modelTime, wallSeconds float64) {
 	}
 	m.r.Gauge(MetricPhaseModelTime + `{phase="` + phase + `"}`).Set(modelTime)
 	m.r.Gauge(MetricPhaseWallSecs + `{phase="` + phase + `"}`).Add(wallSeconds)
-}
-
-// PublishRun sets the joinopt_run_* gauges from a completed run's final
-// result, so the exported snapshot reports the run's outcome exactly —
-// independent of how much pilot or abandoned-plan work the live counters
-// also saw.
-func PublishRun(r *Registry, processed, failed, retries, queries [2]int, good, bad int, execTime, totalTime float64, degraded, deadlineHit bool, switches int) {
-	if r == nil {
-		return
-	}
-	r.Describe(MetricRunGoodTuples, "good join tuples in the run's final output")
-	r.Describe(MetricRunBadTuples, "bad join tuples in the run's final output")
-	r.Describe(MetricRunDocsProc, "documents processed by the run's final execution")
-	r.Describe(MetricRunDocsFailed, "documents lost by the run's final execution")
-	r.Describe(MetricRunRetries, "retries spent by the run's final execution")
-	r.Describe(MetricRunQueries, "queries issued by the run's final execution")
-	r.Describe(MetricRunTime, "cost-model time of the run's final execution")
-	r.Describe(MetricRunTotalTime, "total cost-model time incl. pilot and abandoned work")
-	r.Describe(MetricRunDegraded, "1 when document loss left the run degraded")
-	r.Describe(MetricRunDeadlineHit, "1 when the deadline cut the run short")
-	r.Describe(MetricRunPlanSwitches, "plans tried by the run beyond the first")
-	for side := 0; side < 2; side++ {
-		r.Gauge(sideSeries(MetricRunDocsProc, side)).Set(float64(processed[side]))
-		r.Gauge(sideSeries(MetricRunDocsFailed, side)).Set(float64(failed[side]))
-		r.Gauge(sideSeries(MetricRunRetries, side)).Set(float64(retries[side]))
-		r.Gauge(sideSeries(MetricRunQueries, side)).Set(float64(queries[side]))
-	}
-	r.Gauge(MetricRunGoodTuples).Set(float64(good))
-	r.Gauge(MetricRunBadTuples).Set(float64(bad))
-	r.Gauge(MetricRunTime).Set(execTime)
-	r.Gauge(MetricRunTotalTime).Set(totalTime)
-	r.Gauge(MetricRunDegraded).Set(b2f(degraded))
-	r.Gauge(MetricRunDeadlineHit).Set(b2f(deadlineHit))
-	r.Gauge(MetricRunPlanSwitches).Set(float64(switches))
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

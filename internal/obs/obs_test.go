@@ -72,7 +72,6 @@ func TestNilSafety(t *testing.T) {
 	om.Checkpoint()
 	om.CheckpointErr()
 	om.Phase("pilot", 1, 0.5)
-	PublishRun(nil, [2]int{}, [2]int{}, [2]int{}, [2]int{}, 0, 0, 0, 0, false, false, 0)
 	if NewExecMetrics(nil) != nil || NewOptMetrics(nil) != nil {
 		t.Fatal("nil registry produced a live bundle")
 	}
@@ -321,31 +320,5 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	if ring.Total() != 8*200 {
 		t.Fatalf("ring total = %d, want %d", ring.Total(), 8*200)
-	}
-}
-
-func TestPublishRun(t *testing.T) {
-	r := NewRegistry()
-	PublishRun(r, [2]int{10, 20}, [2]int{1, 0}, [2]int{2, 3}, [2]int{4, 5},
-		36, 22, 1455.5, 3269.5, true, false, 1)
-	s := r.Snapshot()
-	checks := map[string]float64{
-		`joinopt_run_docs_processed{side="1"}`: 10,
-		`joinopt_run_docs_processed{side="2"}`: 20,
-		`joinopt_run_docs_failed{side="1"}`:    1,
-		`joinopt_run_retries{side="2"}`:        3,
-		`joinopt_run_queries{side="1"}`:        4,
-		"joinopt_run_good_tuples":              36,
-		"joinopt_run_bad_tuples":               22,
-		"joinopt_run_time":                     1455.5,
-		"joinopt_run_total_time":               3269.5,
-		"joinopt_run_degraded":                 1,
-		"joinopt_run_deadline_hit":             0,
-		"joinopt_run_plan_switches":            1,
-	}
-	for series, want := range checks {
-		if got := s.Gauges[series]; got != want {
-			t.Errorf("%s = %v, want %v", series, got, want)
-		}
 	}
 }

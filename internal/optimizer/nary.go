@@ -9,19 +9,18 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"joinopt/internal/join"
 	"joinopt/internal/model"
-	"joinopt/internal/pipeline"
 	"joinopt/internal/querygraph"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
-	"joinopt/internal/shard"
 )
 
 // N-ary plan enumeration: DPccp over the query graph with the paper's
 // quality model composed along join trees.
 //
 // The n-way output composition is a sum over good/bad class masks of the
-// value counts times per-side occurrence products (model.MultiIDJNModel) —
+// value counts times per-side occurrence products (model.NaryModel) —
 // class-mask intersections, not per-subset scalars — so quality does NOT
 // decompose over join subtrees and cannot be optimized by the subset DP
 // directly. The enumerator therefore splits the search:
@@ -36,12 +35,6 @@ import (
 //     minimizing the merge cost TJ · Σ E[tuples at each internal node]: the
 //     final output is order-independent (a natural join on one shared
 //     attribute), so tree shape only moves intermediate cardinalities.
-//
-// k = 2 with Binary inputs attached delegates wholesale to the legacy
-// binary optimizer (Enumerate + Choose), which evaluates the richer binary
-// plan space (OIJN orientations, ZGJN, rectangle ratios) through
-// evaluate.go/planfuncs.go — the binary join is a derived special case, not
-// a fork.
 
 // NaryLeaf is one relation's chosen configuration in an n-ary plan.
 type NaryLeaf struct {
@@ -55,50 +48,10 @@ type NaryLeaf struct {
 	MaxEffort int
 }
 
-// NaryNode is one node of a join tree: a leaf names a relation, an internal
-// node joins its two children. Set is the bitmask of relations covered.
-type NaryNode struct {
-	Set         uint64
-	Rel         int // leaf: relation index; internal: -1
-	Left, Right *NaryNode
-}
-
-// Leaf reports whether the node is a leaf.
-func (n *NaryNode) Leaf() bool { return n.Left == nil }
-
-// String renders the tree shape, e.g. "((R1⋈R2)⋈(R3⋈R4))".
-func (n *NaryNode) String() string {
-	if n == nil {
-		return "<nil>"
-	}
-	if n.Leaf() {
-		return fmt.Sprintf("R%d", n.Rel+1)
-	}
-	return "(" + n.Left.String() + "⋈" + n.Right.String() + ")"
-}
-
-// InternalSets returns the relation sets of the internal nodes in
-// deterministic (post-order) sequence — the sets whose intermediate
-// cardinalities the merge cost charges.
-func (n *NaryNode) InternalSets() []uint64 {
-	var out []uint64
-	var walk func(*NaryNode)
-	walk = func(nd *NaryNode) {
-		if nd == nil || nd.Leaf() {
-			return
-		}
-		walk(nd.Left)
-		walk(nd.Right)
-		out = append(out, nd.Set)
-	}
-	walk(n)
-	return out
-}
-
 // NaryEval is the optimizer's assessment of one n-ary configuration (or,
 // for the whole query, the chosen plan).
 type NaryEval struct {
-	Tree     *NaryNode
+	Tree     *join.TreeNode
 	Leaves   []NaryLeaf
 	Feasible bool
 
@@ -113,10 +66,6 @@ type NaryEval struct {
 	// cardinality (the root included).
 	MergeTuples float64
 
-	// Binary carries the legacy binary evaluation when k=2 delegated to the
-	// binary optimizer; nil otherwise.
-	Binary *Eval
-
 	// Reason explains infeasibility.
 	Reason string
 }
@@ -124,9 +73,6 @@ type NaryEval struct {
 // PlanString renders the chosen plan compactly, e.g.
 // "((R1⋈R2)⋈R3) θ=(0.4,0.8,0.4) X=(SC,SC,SC)".
 func (ev NaryEval) PlanString() string {
-	if ev.Binary != nil {
-		return ev.Binary.Plan.String()
-	}
 	if ev.Tree == nil {
 		return "(no plan)"
 	}
@@ -155,16 +101,17 @@ type NaryInputs struct {
 	Classes func(subset uint64) map[relation.ClassMask]int
 
 	// TJ is the merge cost charged per expected intermediate tuple at every
-	// internal node of the join tree. Zero (the default) reproduces the
-	// legacy MultiIDJN accounting, where tuple composition is free.
+	// internal node of the join tree. Zero (the default) makes tuple
+	// composition free.
 	TJ float64
 
 	// Workers bounds the parallel configuration sweep exactly like
 	// Inputs.Workers; any worker count returns the identical choice.
 	Workers int
 
-	// ExecWorkers and CacheHitRate adjust predicted extraction charges the
-	// same way Inputs.effCosts does (Amdahl overlap, expected cache hits).
+	// ExecWorkers and CacheHitRate adjust predicted extraction charges
+	// exactly as for Inputs (effectiveCosts: Amdahl overlap, expected cache
+	// hits).
 	ExecWorkers  int
 	CacheHitRate []float64
 
@@ -172,10 +119,6 @@ type NaryInputs struct {
 	// charges by the measured shard-scaling curve exactly as Inputs.Shards
 	// does (quality composition unchanged — costs are additive over shards).
 	Shards int
-
-	// Binary, when set and the query has exactly two relations, delegates
-	// plan choice to the legacy binary optimizer over its full plan space.
-	Binary *Inputs
 
 	classMu   sync.Mutex
 	classMemo map[uint64]map[relation.ClassMask]int
@@ -205,30 +148,6 @@ func (in *NaryInputs) subsetClasses(subset uint64) map[relation.ClassMask]int {
 	}
 	c := in.Classes(subset)
 	in.classMemo[subset] = c
-	return c
-}
-
-// effCostsAt mirrors Inputs.effCosts for relation rel.
-func (in *NaryInputs) effCostsAt(rel int) model.Costs {
-	c := in.Costs[rel]
-	if rel < len(in.CacheHitRate) {
-		if hr := in.CacheHitRate[rel]; hr > 0 {
-			if hr > 1 {
-				hr = 1
-			}
-			c.TE *= 1 - hr
-		}
-	}
-	if in.Shards > 1 {
-		f := shard.EffectiveSpeedup(in.Shards)
-		c.TR /= f
-		c.TE /= f
-		if wps := shard.WorkersPerShard(in.ExecWorkers, in.Shards); wps > 1 {
-			c.TE /= pipeline.EffectiveOverlap(wps)
-		}
-	} else if in.ExecWorkers > 1 {
-		c.TE /= pipeline.EffectiveOverlap(in.ExecWorkers)
-	}
 	return c
 }
 
@@ -367,7 +286,7 @@ func subsetCard(classes map[relation.ClassMask]int, members []int, occ []sideOcc
 
 // dpEntry is the DP table entry of one connected subgraph.
 type dpEntry struct {
-	node *NaryNode
+	node *join.TreeNode
 	cost float64 // Σ intermediate cardinalities of the subtree
 }
 
@@ -376,11 +295,11 @@ type dpEntry struct {
 // internal nodes. card(S) is split-independent, so the DP reduces to
 // minimizing Σ over children — ties break toward the first csg-cmp pair in
 // enumeration order, which is deterministic.
-func dpTree(g *querygraph.Graph, card func(uint64) float64) (*NaryNode, float64) {
+func dpTree(g *querygraph.Graph, card func(uint64) float64) (*join.TreeNode, float64) {
 	best := make(map[uint64]*dpEntry, 1<<g.N)
 	for i := 0; i < g.N; i++ {
 		s := uint64(1) << i
-		best[s] = &dpEntry{node: &NaryNode{Set: s, Rel: i}}
+		best[s] = &dpEntry{node: &join.TreeNode{Rel: i}}
 	}
 	g.CsgCmpPairs(func(s1, s2 uint64) {
 		u := s1 | s2
@@ -388,7 +307,7 @@ func dpTree(g *querygraph.Graph, card func(uint64) float64) (*NaryNode, float64)
 		c := l.cost + r.cost + card(u)
 		if e, ok := best[u]; !ok || c < e.cost {
 			best[u] = &dpEntry{
-				node: &NaryNode{Set: u, Rel: -1, Left: l.node, Right: r.node},
+				node: &join.TreeNode{Rel: -1, Left: l.node, Right: r.node},
 				cost: c,
 			}
 		}
@@ -417,7 +336,7 @@ func evalNaryConfig(g *querygraph.Graph, in *NaryInputs, req Requirement, cfg na
 			maxT = me
 		}
 	}
-	m := &model.MultiIDJNModel{P: params, X: cfg.kinds, Classes: in.subsetClasses(g.All())}
+	m := &model.NaryModel{P: params, X: cfg.kinds, Classes: in.subsetClasses(g.All())}
 	effortsAt := func(t int) []int {
 		e := make([]int, n)
 		for i := 0; i < n; i++ {
@@ -454,7 +373,11 @@ func evalNaryConfig(g *querygraph.Graph, in *NaryInputs, req Requirement, cfg na
 
 	costs := make([]model.Costs, n)
 	for i := 0; i < n; i++ {
-		costs[i] = in.effCostsAt(i)
+		hitRate := 0.0
+		if i < len(in.CacheHitRate) {
+			hitRate = in.CacheHitRate[i]
+		}
+		costs[i] = effectiveCosts(in.Costs[i], hitRate, in.Shards, in.ExecWorkers)
 	}
 	out.Time, err = m.Time(efforts, costs)
 	if err != nil {
@@ -478,23 +401,12 @@ func evalNaryConfig(g *querygraph.Graph, in *NaryInputs, req Requirement, cfg na
 
 // ChooseNary evaluates every per-relation knob configuration, picks for each
 // the minimal feasible effort and the cheapest join tree, and returns the
-// fastest feasible plan plus all evaluations. For two-relation queries with
-// Binary inputs attached the choice delegates to the legacy binary
-// optimizer's full plan space (Enumerate + Choose), so the binary join is an
-// exact special case of the query API.
+// fastest feasible plan plus all evaluations.
 //
 // Like Choose, the sweep runs on a bounded worker pool (Workers; 0 = one
 // per CPU) and returns the identical result for any worker count: ties
 // break toward the earlier configuration in enumeration order.
 func ChooseNary(g *querygraph.Graph, in *NaryInputs, req Requirement) (NaryEval, []NaryEval, error) {
-	if g.N == 2 && in.Binary != nil {
-		best, _, err := Choose(Enumerate(in.Binary.Thetas), in.Binary, req)
-		if err != nil {
-			return NaryEval{}, nil, err
-		}
-		ev := binaryAsNary(best)
-		return ev, []NaryEval{ev}, nil
-	}
 	if err := in.validate(g); err != nil {
 		return NaryEval{}, nil, err
 	}
@@ -550,24 +462,6 @@ func ChooseNary(g *querygraph.Graph, in *NaryInputs, req Requirement) (NaryEval,
 		}
 	}
 	return pickBestNary(evals, req)
-}
-
-// binaryAsNary wraps a legacy binary evaluation as a two-leaf n-ary plan.
-func binaryAsNary(ev Eval) NaryEval {
-	l0 := &NaryNode{Set: 1, Rel: 0}
-	l1 := &NaryNode{Set: 2, Rel: 1}
-	return NaryEval{
-		Tree:     &NaryNode{Set: 3, Rel: -1, Left: l0, Right: l1},
-		Feasible: ev.Feasible,
-		Quality:  ev.Quality,
-		Time:     ev.Time,
-		Binary:   &ev,
-		Reason:   ev.Reason,
-		Leaves: []NaryLeaf{
-			{Rel: 0, Theta: ev.Plan.Theta[0], X: ev.Plan.X[0], Effort: ev.Effort[0]},
-			{Rel: 1, Theta: ev.Plan.Theta[1], X: ev.Plan.X[1], Effort: ev.Effort[1]},
-		},
-	}
 }
 
 // pickBestNary reduces the evaluations with the deterministic tie-break

@@ -5,65 +5,11 @@ import (
 	"math/bits"
 	"testing"
 
+	"joinopt/internal/join"
 	"joinopt/internal/model"
 	"joinopt/internal/querygraph"
 	"joinopt/internal/relation"
 )
-
-// table2Reqs mirrors experiments.Table2Reqs (the experiments package imports
-// the optimizer, so the sweep is restated here rather than imported).
-var table2Reqs = []Requirement{
-	{TauG: 1, TauB: 20},
-	{TauG: 2, TauB: 30}, {TauG: 2, TauB: 50},
-	{TauG: 4, TauB: 20}, {TauG: 4, TauB: 40},
-	{TauG: 8, TauB: 40}, {TauG: 8, TauB: 80},
-	{TauG: 16, TauB: 50}, {TauG: 16, TauB: 80}, {TauG: 16, TauB: 160},
-	{TauG: 32, TauB: 84}, {TauG: 32, TauB: 160}, {TauG: 32, TauB: 320},
-	{TauG: 64, TauB: 320}, {TauG: 64, TauB: 640},
-	{TauG: 128, TauB: 640}, {TauG: 128, TauB: 1280},
-	{TauG: 256, TauB: 1280}, {TauG: 256, TauB: 2560},
-	{TauG: 512, TauB: 1024}, {TauG: 512, TauB: 2560}, {TauG: 512, TauB: 5120},
-	{TauG: 1024, TauB: 5120}, {TauG: 1024, TauB: 10240},
-}
-
-// TestChooseNaryBinaryParityTableII pins the k=2 contract: with Binary
-// inputs attached, ChooseNary's choice on a Table II-style requirement
-// sweep is bit-for-bit the legacy binary optimizer's — same plan, efforts,
-// quality, and predicted time (or the same no-feasible-plan failure).
-func TestChooseNaryBinaryParityTableII(t *testing.T) {
-	in := syntheticInputs()
-	g, err := querygraph.Chain(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans := Enumerate(in.Thetas)
-	for _, req := range table2Reqs {
-		legacy, _, lerr := Choose(plans, in, req)
-		nary, _, nerr := ChooseNary(g, &NaryInputs{Binary: in}, req)
-		if (lerr == nil) != (nerr == nil) {
-			t.Fatalf("τg=%d τb=%d: legacy err=%v, n-ary err=%v", req.TauG, req.TauB, lerr, nerr)
-		}
-		if lerr != nil {
-			continue
-		}
-		if nary.Binary == nil {
-			t.Fatalf("τg=%d τb=%d: k=2 choice did not delegate to the binary optimizer", req.TauG, req.TauB)
-		}
-		if *nary.Binary != legacy {
-			t.Errorf("τg=%d τb=%d: binary eval diverged:\n n-ary: %+v\nlegacy: %+v", req.TauG, req.TauB, *nary.Binary, legacy)
-		}
-		if nary.Time != legacy.Time || nary.Quality != legacy.Quality {
-			t.Errorf("τg=%d τb=%d: wrapped time/quality diverged", req.TauG, req.TauB)
-		}
-		for i := 0; i < 2; i++ {
-			l := nary.Leaves[i]
-			if l.Theta != legacy.Plan.Theta[i] || l.X != legacy.Plan.X[i] || l.Effort != legacy.Effort[i] {
-				t.Errorf("τg=%d τb=%d: leaf %d diverged: %+v vs plan %s effort %v",
-					req.TauG, req.TauB, i, l, legacy.Plan, legacy.Effort)
-			}
-		}
-	}
-}
 
 // synthClasses builds a deterministic synthetic Classes callback: counts
 // depend only on (subset, mask), so the DP and the brute force see the same
@@ -118,11 +64,11 @@ func synthNaryInputs(k int, tj float64) *NaryInputs {
 // allBushyTrees enumerates every bushy, cross-product-free join tree over
 // the connected set s (brute force, mirror duplicates suppressed by
 // anchoring the lowest bit in the left subtree).
-func allBushyTrees(g *querygraph.Graph, s uint64) []*NaryNode {
+func allBushyTrees(g *querygraph.Graph, s uint64) []*join.TreeNode {
 	if bits.OnesCount64(s) == 1 {
-		return []*NaryNode{{Set: s, Rel: bits.TrailingZeros64(s)}}
+		return []*join.TreeNode{{Rel: bits.TrailingZeros64(s)}}
 	}
-	var out []*NaryNode
+	var out []*join.TreeNode
 	low := s & (-s)
 	// Iterate subsets s1 of s containing the lowest bit.
 	rest := s &^ low
@@ -132,7 +78,7 @@ func allBushyTrees(g *querygraph.Graph, s uint64) []*NaryNode {
 		if s2 != 0 && g.ConnectedMask(s1) && g.ConnectedMask(s2) && g.Neighbors(s1)&s2 != 0 {
 			for _, l := range allBushyTrees(g, s1) {
 				for _, r := range allBushyTrees(g, s2) {
-					out = append(out, &NaryNode{Set: s, Rel: -1, Left: l, Right: r})
+					out = append(out, &join.TreeNode{Rel: -1, Left: l, Right: r})
 				}
 			}
 		}
@@ -143,9 +89,20 @@ func allBushyTrees(g *querygraph.Graph, s uint64) []*NaryNode {
 	return out
 }
 
-func treeMergeTuples(t *NaryNode, card func(uint64) float64) float64 {
+// internalSets returns the tree's internal-node relation sets, failing the
+// test on a tree that does not cover the n relations exactly once.
+func internalSets(t *testing.T, tree *join.TreeNode, n int) []uint64 {
+	t.Helper()
+	sets, err := tree.InternalSets(n)
+	if err != nil {
+		t.Fatalf("tree %s: %v", tree, err)
+	}
+	return sets
+}
+
+func treeMergeTuples(t *testing.T, tree *join.TreeNode, n int, card func(uint64) float64) float64 {
 	var total float64
-	for _, s := range t.InternalSets() {
+	for _, s := range internalSets(t, tree, n) {
 		total += card(s)
 	}
 	return total
@@ -199,11 +156,11 @@ func TestDPTreeOptimalByBruteForce(t *testing.T) {
 		}
 		bruteMin := math.Inf(1)
 		for _, tr := range trees {
-			if c := treeMergeTuples(tr, card); c < bruteMin {
+			if c := treeMergeTuples(t, tr, sh.n, card); c < bruteMin {
 				bruteMin = c
 			}
 		}
-		if got := treeMergeTuples(best.Tree, card); got != best.MergeTuples {
+		if got := treeMergeTuples(t, best.Tree, sh.n, card); got != best.MergeTuples {
 			t.Errorf("%s: reported MergeTuples %.4f but recomputed %.4f", sh.name, best.MergeTuples, got)
 		}
 		if best.MergeTuples > bruteMin+1e-9 {
@@ -309,7 +266,7 @@ func TestChooseNaryMergeCostSteersTree(t *testing.T) {
 		return float64(bits.OnesCount64(set))
 	}
 	tree, cost := dpTree(g, card)
-	for _, s := range tree.InternalSets() {
+	for _, s := range internalSets(t, tree, g.N) {
 		if s != g.All() && s&0b11 == 0b11 {
 			t.Errorf("DP tree %s routes through penalized set %b (cost %.1f)", tree, s, cost)
 		}

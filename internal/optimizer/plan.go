@@ -162,33 +162,38 @@ func (in *Inputs) params(side int, theta float64) (*model.RelationParams, error)
 }
 
 // effCosts returns side's cost parameters as plan-time prediction should see
-// them under pipelined, possibly sharded execution: the expected extraction
-// charge shrinks by the anticipated cache hit rate, and by the overlap the
-// worker pool actually delivers (pipeline.EffectiveOverlap, the Amdahl curve
-// measured on the batched engine — not the raw worker count, which
-// over-promised before the engine was fixed). Under sharding, retrieval and
-// extraction additionally divide by the measured shard-scaling curve
-// (shard.EffectiveSpeedup) with the worker budget split per shard — per-shard
-// costs still sum to the unsharded total; only predicted elapsed time
-// shrinks. Executed runs still charge the full tE per cache miss — this
-// adjustment only sharpens predictions.
+// them (see effectiveCosts).
 func (in *Inputs) effCosts(side int) model.Costs {
-	c := in.Costs[side]
-	if hr := in.CacheHitRate[side]; hr > 0 {
-		if hr > 1 {
-			hr = 1
+	return effectiveCosts(in.Costs[side], in.CacheHitRate[side], in.Shards, in.ExecWorkers)
+}
+
+// effectiveCosts adjusts a relation's cost parameters to what plan-time
+// prediction should see under pipelined, possibly sharded execution: the
+// expected extraction charge shrinks by the anticipated cache hit rate, and
+// by the overlap the worker pool actually delivers (pipeline.EffectiveOverlap,
+// the Amdahl curve measured on the batched engine — not the raw worker
+// count, which over-promised before the engine was fixed). Under sharding,
+// retrieval and extraction additionally divide by the measured shard-scaling
+// curve (shard.EffectiveSpeedup) with the worker budget split per shard —
+// per-shard costs still sum to the unsharded total; only predicted elapsed
+// time shrinks. Executed runs still charge the full tE per cache miss — this
+// adjustment only sharpens predictions.
+func effectiveCosts(c model.Costs, hitRate float64, shards, execWorkers int) model.Costs {
+	if hitRate > 0 {
+		if hitRate > 1 {
+			hitRate = 1
 		}
-		c.TE *= 1 - hr
+		c.TE *= 1 - hitRate
 	}
-	if in.Shards > 1 {
-		f := shard.EffectiveSpeedup(in.Shards)
+	if shards > 1 {
+		f := shard.EffectiveSpeedup(shards)
 		c.TR /= f
 		c.TE /= f
-		if wps := shard.WorkersPerShard(in.ExecWorkers, in.Shards); wps > 1 {
+		if wps := shard.WorkersPerShard(execWorkers, shards); wps > 1 {
 			c.TE /= pipeline.EffectiveOverlap(wps)
 		}
-	} else if in.ExecWorkers > 1 {
-		c.TE /= pipeline.EffectiveOverlap(in.ExecWorkers)
+	} else if execWorkers > 1 {
+		c.TE /= pipeline.EffectiveOverlap(execWorkers)
 	}
 	return c
 }

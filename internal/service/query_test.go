@@ -137,6 +137,10 @@ func TestQueryJobValidation(t *testing.T) {
 		"retries":            func(r *service.JobRequest) { r.Retries = 2 },
 		"resume_from":        func(r *service.JobRequest) { r.ResumeFrom = "j000001" },
 		"tuples on n-ary":    func(r *service.JobRequest) { r.Tuples = 5 },
+		"tuples on repeated pair": func(r *service.JobRequest) {
+			r.Query.Relations = []string{"HQ", "HQ"}
+			r.Tuples = 5
+		},
 		"one relation":       func(r *service.JobRequest) { r.Query.Relations = []string{"HQ"} },
 		"self join pred":     func(r *service.JobRequest) { r.Query.Joins = [][2]int{{0, 0}, {1, 2}} },
 		"pred out of range":  func(r *service.JobRequest) { r.Query.Joins = [][2]int{{0, 7}} },

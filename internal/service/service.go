@@ -332,8 +332,10 @@ func validateQueryJob(req *JobRequest) error {
 		return errors.New("retry policies apply to binary jobs only")
 	case req.ResumeFrom != "":
 		return errors.New("resume_from applies to adaptive binary jobs only")
-	case req.Tuples != 0 && len(req.Query.Relations) > 2:
-		return errors.New("tuples apply to two-relation results only")
+	case req.Tuples != 0 && (len(req.Query.Relations) != 2 || req.Query.Relations[0] == req.Query.Relations[1]):
+		// Only a query over two distinct relations builds a binary task
+		// with a tuple-level result (NewQuery).
+		return errors.New("tuples apply to queries over two distinct relations only")
 	}
 	_, err := (querygraph.Spec{Relations: req.Query.Relations, Joins: req.Query.Joins}).Graph()
 	return err

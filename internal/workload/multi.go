@@ -165,21 +165,6 @@ func (mw *MultiWorkload) Golds() []*relation.Gold {
 	return out
 }
 
-// TrueMultiModel measures the perfect-knowledge parameters of every side at
-// theta and assembles the n-way quality model.
-func (mw *MultiWorkload) TrueMultiModel(theta float64) (*model.MultiIDJNModel, error) {
-	m := &model.MultiIDJNModel{Classes: relation.MultiOverlaps(mw.Golds())}
-	for i := range mw.DBs {
-		p, err := mw.trueParams(i, theta)
-		if err != nil {
-			return nil, err
-		}
-		m.P = append(m.P, p)
-		m.X = append(m.X, retrieval.SC)
-	}
-	return m, nil
-}
-
 // measuredRates characterizes side i's IE rates once, caching the result
 // (θ-independent: TP(θ)/FP(θ) are curves evaluated later).
 func (mw *MultiWorkload) measuredRates(i int) (*extract.Rates, error) {

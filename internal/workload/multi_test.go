@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"joinopt/internal/join"
+	"joinopt/internal/model"
 	"joinopt/internal/relation"
 	"joinopt/internal/retrieval"
 )
@@ -76,65 +77,26 @@ func TestMultiRepeatedTasks(t *testing.T) {
 	}
 }
 
-func TestMultiIDJNExecution(t *testing.T) {
-	mw := triple(t)
-	sides := []*join.Side{mw.Side(0, 0.4), mw.Side(1, 0.4), mw.Side(2, 0.4)}
-	strats := []retrieval.Strategy{mw.Scan(0), mw.Scan(1), mw.Scan(2)}
-	e, err := join.NewMultiIDJN(sides, strats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := join.RunMulti(e, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sides {
-		if st.DocsProcessed[i] != mw.DBs[i].Size() {
-			t.Errorf("side %d processed %d docs", i, st.DocsProcessed[i])
-		}
-	}
-	if st.GoodTuples == 0 {
-		t.Error("no good 3-way tuples")
-	}
-	if st.BadTuples == 0 {
-		t.Error("no bad 3-way tuples at theta 0.4")
-	}
-	// Direct recomputation of the n-way products.
-	good, total := 0, 0
-	vals := map[string]bool{}
-	for _, r := range st.Rels {
-		for _, v := range r.JoinValues() {
-			vals[v] = true
-		}
-	}
-	for v := range vals {
-		g, tot := 1, 1
-		for _, r := range st.Rels {
-			g *= r.GoodOcc(v)
-			tot *= r.GoodOcc(v) + r.BadOcc(v)
-		}
-		good += g
-		total += tot
-	}
-	if st.GoodTuples != good || st.BadTuples != total-good {
-		t.Errorf("incremental counts (%d, %d) != direct (%d, %d)",
-			st.GoodTuples, st.BadTuples, good, total-good)
-	}
-}
-
+// TestMultiModelAccuracy checks the n-way composition model against
+// execution: the full-scan prediction from perfect-knowledge inputs lands
+// within small factors of what the tree executor produces.
 func TestMultiModelAccuracy(t *testing.T) {
 	mw := triple(t)
-	m, err := mw.TrueMultiModel(0.4)
+	in, err := mw.TrueNaryInputs([]float64{0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sides := []*join.Side{mw.Side(0, 0.4), mw.Side(1, 0.4), mw.Side(2, 0.4)}
-	strats := []retrieval.Strategy{mw.Scan(0), mw.Scan(1), mw.Scan(2)}
-	e, err := join.NewMultiIDJN(sides, strats)
+	m := &model.NaryModel{Classes: in.Classes(0b111)}
+	for i := range mw.DBs {
+		m.P = append(m.P, in.P[i][0])
+		m.X = append(m.X, retrieval.SC)
+	}
+	sides, strats := narySides(mw, 0.4)
+	e, err := join.NewNaryExec(sides, strats, join.NaryPlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := join.RunMulti(e, nil)
+	st, err := join.RunNary(e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,28 +107,11 @@ func TestMultiModelAccuracy(t *testing.T) {
 	}
 	ratioIn(t, "3-way good", est.Good, float64(st.GoodTuples), 0.4, 2.5)
 	ratioIn(t, "3-way bad", est.Bad, float64(st.BadTuples), 0.4, 2.5)
-	tm, err := m.Time([]int{D, D, D}, []join.Costs{mw.Costs[0], mw.Costs[1], mw.Costs[2]})
+	tm, err := m.Time([]int{D, D, D}, in.Costs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tm <= 0 {
 		t.Error("no time predicted")
-	}
-}
-
-func TestMultiIDJNValidation(t *testing.T) {
-	mw := triple(t)
-	if _, err := join.NewMultiIDJN([]*join.Side{mw.Side(0, 0.4)}, []retrieval.Strategy{mw.Scan(0)}); err == nil {
-		t.Error("expected error for 1 side")
-	}
-	if _, err := join.NewMultiIDJN(
-		[]*join.Side{mw.Side(0, 0.4), mw.Side(1, 0.4)},
-		[]retrieval.Strategy{mw.Scan(0)}); err == nil {
-		t.Error("expected error for arity mismatch")
-	}
-	if _, err := join.NewMultiIDJN(
-		[]*join.Side{mw.Side(0, 0.4), mw.Side(1, 0.4)},
-		[]retrieval.Strategy{mw.Scan(0), nil}); err == nil {
-		t.Error("expected error for nil strategy")
 	}
 }

@@ -44,18 +44,6 @@ func (mw *MultiWorkload) TrueNaryInputs(thetas []float64) (*optimizer.NaryInputs
 	return in, nil
 }
 
-// execTree converts the optimizer's chosen tree into the executor's mirror
-// structure.
-func execTree(n *optimizer.NaryNode) *join.TreeNode {
-	if n == nil {
-		return nil
-	}
-	if n.Leaf() {
-		return &join.TreeNode{Rel: n.Rel}
-	}
-	return &join.TreeNode{Rel: -1, Left: execTree(n.Left), Right: execTree(n.Right)}
-}
-
 // NewNaryExecutor builds the tree executor for a chosen n-ary plan: one
 // side per relation at its leaf's θ, the leaf's retrieval strategy, effort
 // caps at the leaf efforts, and the plan's merge cost. The engine, when
@@ -92,7 +80,7 @@ func (mw *MultiWorkload) NewNaryExecutor(ev optimizer.NaryEval, tj float64, exec
 		}
 	}
 	exec, err := join.NewNaryExec(sides, strats, join.NaryPlan{
-		Tree:  execTree(ev.Tree),
+		Tree:  ev.Tree,
 		Caps:  caps,
 		Kinds: kinds,
 		TJ:    tj,

@@ -30,50 +30,6 @@ func narySides(mw *MultiWorkload, theta float64) ([]*join.Side, []retrieval.Stra
 	return sides, strats
 }
 
-// TestNaryExecGoldenVsMultiIDJN is the golden parity test: at TJ=0 with no
-// effort caps and no pipeline engine, the tree executor must reproduce the
-// legacy MultiIDJN execution bit-for-bit — every counter and the cost-model
-// time.
-func TestNaryExecGoldenVsMultiIDJN(t *testing.T) {
-	mw := naryTriple(t)
-	sides, strats := narySides(mw, 0.4)
-	legacy, err := join.NewMultiIDJN(sides, strats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lst, err := join.RunMulti(legacy, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sides2, strats2 := narySides(mw, 0.4)
-	exec, err := join.NewNaryExec(sides2, strats2, join.NaryPlan{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nst, err := join.RunNary(exec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nst.GoodTuples != lst.GoodTuples || nst.BadTuples != lst.BadTuples {
-		t.Errorf("tuples diverged: tree (%d, %d) vs legacy (%d, %d)",
-			nst.GoodTuples, nst.BadTuples, lst.GoodTuples, lst.BadTuples)
-	}
-	if nst.Time != lst.Time {
-		t.Errorf("time diverged: tree %v vs legacy %v", nst.Time, lst.Time)
-	}
-	for i := range sides {
-		if nst.DocsProcessed[i] != lst.DocsProcessed[i] || nst.DocsRetrieved[i] != lst.DocsRetrieved[i] ||
-			nst.DocsFiltered[i] != lst.DocsFiltered[i] || nst.Queries[i] != lst.Queries[i] {
-			t.Errorf("side %d counters diverged: tree %+v vs legacy %+v", i, nst.MultiState, lst)
-		}
-	}
-	// The root node's materialization count is the total output.
-	root := nst.NodeTuples[len(nst.NodeTuples)-1]
-	if root != nst.GoodTuples+nst.BadTuples {
-		t.Errorf("root node tuples %d != good+bad %d", root, nst.GoodTuples+nst.BadTuples)
-	}
-}
-
 // TestNaryExecEffortCaps: the executor must stop each side exactly at its
 // effort cap (retrieved documents for scans).
 func TestNaryExecEffortCaps(t *testing.T) {

@@ -398,14 +398,7 @@ func (t *Task) ExecuteQuery(thetas []float64, stop func(QueryProgress) bool) (*Q
 	if len(thetas) != n {
 		return nil, fmt.Errorf("joinopt: query joins %d relations but %d θ settings given", n, len(thetas))
 	}
-	node := &optimizer.NaryNode{Set: 1, Rel: 0}
-	for i := 1; i < n; i++ {
-		node = &optimizer.NaryNode{
-			Set: node.Set | 1<<i, Rel: -1,
-			Left: node, Right: &optimizer.NaryNode{Set: 1 << i, Rel: i},
-		}
-	}
-	ev := optimizer.NaryEval{Tree: node, Feasible: true}
+	ev := optimizer.NaryEval{Tree: join.LeafChain(n), Feasible: true}
 	for i := 0; i < n; i++ {
 		size := t.mw.DBs[i].Size()
 		ev.Leaves = append(ev.Leaves, optimizer.NaryLeaf{

@@ -2,13 +2,14 @@ package joinopt_test
 
 import (
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"joinopt"
-	"joinopt/internal/join"
-	"joinopt/internal/retrieval"
-	"joinopt/internal/workload"
 )
 
 // TestQueryBinarySpecialCase: a two-relation query IS the binary task — the
@@ -228,59 +229,58 @@ func TestQueryCacheInvariant(t *testing.T) {
 	}
 }
 
-// TestThreeWayShimGolden pins the re-homed ThreeWayTask bit-for-bit against
-// the legacy execution path it used to call directly: the n-ary IDJN over
-// the same MultiWorkload.
-func TestThreeWayShimGolden(t *testing.T) {
-	p := joinopt.WorkloadParams{NumDocs: 450, Seed: 9}
-	tw, err := joinopt.NewThreeWay(p, "MG", "HQ", "EX")
+// TestExecuteQueryGolden pins ExecuteQuery's pinned-knob full scan against
+// a recorded fixture: the output composition, the cost-model time and the
+// per-relation work of MG⋈HQ⋈EX at θ=0.4. The stop condition must halt the
+// same execution early.
+func TestExecuteQueryGolden(t *testing.T) {
+	var want struct {
+		Relations     []string `json:"relations"`
+		Good          int      `json:"good"`
+		Bad           int      `json:"bad"`
+		Time          float64  `json:"time"`
+		DocsProcessed []int    `json:"docs_processed"`
+		DocsRetrieved []int    `json:"docs_retrieved"`
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "execute_query_golden.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tw.Execute([3]float64{0.4, 0.4, 0.4}, nil)
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	task, err := joinopt.NewQuery(joinopt.WorkloadParams{NumDocs: 450, Seed: 9}, joinopt.Query{
+		Relations: []string{"MG", "HQ", "EX"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	mw, err := workload.Multi(workload.Params{NumDocs: p.NumDocs, Seed: p.Seed}, []string{"MG", "HQ", "EX"})
+	if got := task.RelationNames(); !reflect.DeepEqual(got, want.Relations) {
+		t.Errorf("relations %q, want %q", got, want.Relations)
+	}
+	thetas := []float64{0.4, 0.4, 0.4}
+	got, err := task.ExecuteQuery(thetas, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sides := make([]*join.Side, 3)
-	strats := make([]retrieval.Strategy, 3)
-	for i := 0; i < 3; i++ {
-		sides[i] = mw.Side(i, 0.4)
-		strats[i] = mw.Scan(i)
-	}
-	legacy, err := join.NewMultiIDJN(sides, strats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := join.RunMulti(legacy, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.GoodTuples != want.GoodTuples || got.BadTuples != want.BadTuples {
-		t.Errorf("shim output (%d, %d) != legacy (%d, %d)",
-			got.GoodTuples, got.BadTuples, want.GoodTuples, want.BadTuples)
+	if got.GoodTuples != want.Good || got.BadTuples != want.Bad {
+		t.Errorf("output (%d, %d), want (%d, %d)", got.GoodTuples, got.BadTuples, want.Good, want.Bad)
 	}
 	if got.Time != want.Time {
-		t.Errorf("shim time %v != legacy %v", got.Time, want.Time)
+		t.Errorf("time %v, want %v", got.Time, want.Time)
 	}
-	for i := 0; i < 3; i++ {
-		if got.DocsProcessed[i] != want.DocsProcessed[i] {
-			t.Errorf("side %d processed %d != legacy %d", i, got.DocsProcessed[i], want.DocsProcessed[i])
-		}
+	if !reflect.DeepEqual(got.DocsProcessed, want.DocsProcessed) || !reflect.DeepEqual(got.DocsRetrieved, want.DocsRetrieved) {
+		t.Errorf("docs processed %v retrieved %v, want %v and %v",
+			got.DocsProcessed, got.DocsRetrieved, want.DocsProcessed, want.DocsRetrieved)
 	}
 
-	// The shim's stop condition still sees live three-way progress.
-	partial, err := tw.Execute([3]float64{0.4, 0.4, 0.4}, func(p joinopt.ThreeWayProgress) bool {
+	partial, err := task.ExecuteQuery(thetas, func(p joinopt.QueryProgress) bool {
 		return p.DocsProcessed[0] >= 50
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if partial.DocsProcessed[0] < 50 || partial.DocsProcessed[0] > 60 {
-		t.Errorf("shim stop ignored: %d docs", partial.DocsProcessed[0])
+		t.Errorf("stop ignored: %d docs", partial.DocsProcessed[0])
 	}
 }

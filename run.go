@@ -116,8 +116,8 @@ func WithTracer(tr *Trace) RunOption {
 }
 
 // WithMetrics attaches a metrics registry to the run: live counters mirror
-// the execution as it progresses, and the joinopt_run_* gauges report the
-// final Result exactly when the run completes.
+// the execution as it progresses, pilot and abandoned-plan work included.
+// The run's own outcome is the RunResult.
 func WithMetrics(m *Metrics) RunOption {
 	return func(c *runConfig) { c.metrics = m }
 }
@@ -335,17 +335,8 @@ func (t *Task) runAdaptive(ctx context.Context, w *workload.Workload, req Requir
 	return res, err
 }
 
-// sealRun publishes the run-level gauges and the run.end trace event from a
-// completed run's result.
+// sealRun emits the run.end trace event from a completed run's result.
 func (t *Task) sealRun(cfg *runConfig, res *RunResult, mode string) {
-	switches := len(res.Plans) - 1
-	if switches < 0 {
-		switches = 0
-	}
-	if o := res.Outcome; o != nil {
-		obs.PublishRun(cfg.metrics, o.DocsProcessed, o.DocsFailed, o.RetriesSpent, o.Queries,
-			o.GoodTuples, o.BadTuples, o.Time, res.TotalTime, o.Degraded, o.DeadlineHit, switches)
-	}
 	if cfg.trace.Enabled() {
 		attrs := map[string]any{"mode": mode, "total_time": res.TotalTime, "checkpoint_errs": len(res.CheckpointErrs)}
 		if o := res.Outcome; o != nil {
